@@ -23,9 +23,6 @@
 //   HAZY_MIXED_ENTITIES  corpus size                  (default 2000)
 //   HAZY_MIXED_READERS   reader threads               (default 4)
 //   HAZY_MIXED_READS     reads per phase (aggregate)  (default 40000)
-//   HAZY_MIXED_GATED     1 = force readers onto the serialized
-//                        statement-mutex path (the pre-snapshot
-//                        behavior) for a before/after comparison
 
 #include <algorithm>
 #include <atomic>
@@ -92,8 +89,7 @@ struct PhaseResult {
 /// threads, each routed exactly as a server session routes them: snapshot
 /// reads execute without the statement mutex, anything else would take it.
 PhaseResult RunReaders(hazy::engine::Database* db, size_t threads,
-                       size_t total_reads, size_t key_space,
-                       bool force_gated) {
+                       size_t total_reads, size_t key_space) {
   std::vector<std::vector<double>> latencies(threads);
   std::atomic<bool> failed{false};
   const size_t per_thread = total_reads / threads;
@@ -116,7 +112,7 @@ PhaseResult RunReaders(hazy::engine::Database* db, size_t threads,
         }
         // Initialized via lambda: StatusOr rejects a default OK status.
         auto rs = [&]() -> hazy::StatusOr<hazy::sql::ResultSet> {
-          if (!force_gated && hazy::sql::IsSnapshotRead(db, *stmt)) {
+          if (hazy::sql::IsSnapshotRead(db, *stmt)) {
             return exec.Execute(*stmt);
           }
           std::lock_guard<std::recursive_mutex> lock(*db->statement_mutex());
@@ -157,8 +153,6 @@ int main(int argc, char** argv) {
   const size_t entities = EnvSize("HAZY_MIXED_ENTITIES", 2000);
   const size_t readers = EnvSize("HAZY_MIXED_READERS", 4);
   const size_t reads = EnvSize("HAZY_MIXED_READS", 40000);
-  const char* gated_env = std::getenv("HAZY_MIXED_GATED");
-  const bool force_gated = gated_env != nullptr && *gated_env == '1';
 
   hazy::engine::Database db;
   if (!db.Open().ok()) {
@@ -204,8 +198,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Phase 1: read-only baseline. ----------------------------------------
-  const PhaseResult baseline =
-      RunReaders(&db, readers, reads, entities, force_gated);
+  const PhaseResult baseline = RunReaders(&db, readers, reads, entities);
 
   // --- Phase 2: the same readers under a saturating ingest stream. ---------
   std::atomic<bool> stop_writer{false};
@@ -233,8 +226,7 @@ int main(int argc, char** argv) {
   // Readers stay inside the original key space: every key they touch exists
   // in every epoch, so answers are single-row in both phases.
   const auto mixed_start = Clock::now();
-  const PhaseResult mixed =
-      RunReaders(&db, readers, reads, entities, force_gated);
+  const PhaseResult mixed = RunReaders(&db, readers, reads, entities);
   const double mixed_elapsed =
       std::chrono::duration<double>(Clock::now() - mixed_start).count();
   stop_writer.store(true);
@@ -265,9 +257,8 @@ int main(int argc, char** argv) {
   const double p50_ratio_pct =
       mixed.p50_us > 0 ? 100.0 * baseline.p50_us / mixed.p50_us : 0;
 
-  std::printf("micro_mixed_rw: %zu entities, %zu readers, %zu reads/phase%s\n",
-              entities, readers, reads,
-              force_gated ? " [GATED: statement-mutex readers]" : "");
+  std::printf("micro_mixed_rw: %zu entities, %zu readers, %zu reads/phase\n",
+              entities, readers, reads);
   hazy::bench::TablePrinter table({"metric", "read-only", "under ingest"});
   table.AddRow({"read qps", hazy::bench::FormatRate(baseline.qps),
                 hazy::bench::FormatRate(mixed.qps)});

@@ -15,7 +15,8 @@
 // Batched view maintenance: a multi-row INSERT applies all its training
 // examples to each classification view as one UpdateBatch automatically.
 // '\batch on' holds the whole session in batched-trigger mode (updates
-// queue; reads flush), '\batch off' flushes and leaves it.
+// queue; view SELECTs answer from the epoch published before the batch),
+// '\batch off' flushes, publishes and leaves it.
 //
 // Remote serving: '\connect <host>:<port>' points the shell at a running
 // hazy_server — statements travel as wire-protocol frames and results come

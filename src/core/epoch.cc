@@ -57,8 +57,8 @@ StatusOr<int> EpochSnapshot::SingleEntityRead(int64_t id) const {
   return model_.Classify(e->features);
 }
 
-StatusOr<std::vector<int64_t>> EpochSnapshot::AllMembers(int label) const {
-  std::vector<int64_t> out;
+template <typename Visit>
+void EpochSnapshot::ForEachLabel(Visit visit) const {
   std::vector<int8_t> labels;
   for (const auto& chunk : store_->chunks()) {
     const auto& rows = chunk->rows;
@@ -67,28 +67,29 @@ StatusOr<std::vector<int64_t>> EpochSnapshot::AllMembers(int label) const {
         rows.size(), model_, kMinParallelScan,
         [&](size_t i) -> const ml::FeatureVector& { return rows[i].features; },
         labels.data());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (labels[i] == label) out.push_back(rows[i].id);
-    }
+    for (size_t i = 0; i < rows.size(); ++i) visit(rows[i].id, labels[i]);
   }
+}
+
+StatusOr<std::vector<int64_t>> EpochSnapshot::AllMembers(int label) const {
+  std::vector<int64_t> out;
+  ForEachLabel([&](int64_t id, int8_t l) {
+    if (l == label) out.push_back(id);
+  });
   return out;
 }
 
 StatusOr<uint64_t> EpochSnapshot::AllMembersCount(int label) const {
   uint64_t n = 0;
-  std::vector<int8_t> labels;
-  for (const auto& chunk : store_->chunks()) {
-    const auto& rows = chunk->rows;
-    labels.resize(rows.size());
-    ClassifyRange(
-        rows.size(), model_, kMinParallelScan,
-        [&](size_t i) -> const ml::FeatureVector& { return rows[i].features; },
-        labels.data());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (labels[i] == label) ++n;
-    }
-  }
+  ForEachLabel([&](int64_t, int8_t l) { n += l == label; });
   return n;
+}
+
+std::vector<std::pair<int64_t, int8_t>> EpochSnapshot::AllLabels() const {
+  std::vector<std::pair<int64_t, int8_t>> out;
+  out.reserve(store_->size());
+  ForEachLabel([&](int64_t id, int8_t l) { out.emplace_back(id, l); });
+  return out;
 }
 
 void EpochStoreBuilder::ReplaceAll(std::vector<Entity> all) {

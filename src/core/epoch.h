@@ -95,10 +95,19 @@ class EpochSnapshot {
   /// Count of entities labeled `label`.
   StatusOr<uint64_t> AllMembersCount(int label) const;
 
+  /// Every entity as (id, label), in store order: both classes from one
+  /// classification pass (the unfiltered view scan).
+  std::vector<std::pair<int64_t, int8_t>> AllLabels() const;
+
   uint64_t pins() const { return pins_.load(std::memory_order_relaxed); }
 
  private:
   friend class EpochManager;
+
+  /// The one chunk-classify pass behind the scans above: calls
+  /// visit(id, label) for every entity, in store order.
+  template <typename Visit>
+  void ForEachLabel(Visit visit) const;
 
   uint64_t epoch_;
   ml::LinearModel model_;

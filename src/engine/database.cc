@@ -30,8 +30,11 @@ Status ManagedView::Flush() {
   obs::TraceScope drain_span(obs::SpanKind::kTriggerDrain);
   // A mid-batch read is folding the queue early: log the fold point, so
   // replay reproduces the exact same UpdateBatch boundaries (they are
-  // visible in eps/water bookkeeping, not just in answers).
-  if (db_ != nullptr && db_->wal() != nullptr && db_->in_update_batch()) {
+  // visible in eps/water bookkeeping, not just in answers). A view not yet
+  // adopted is folding its creation-time queue, which replaying its
+  // kCreateView record reproduces.
+  if (adopted_ && db_ != nullptr && db_->wal() != nullptr &&
+      db_->in_update_batch()) {
     std::string payload;
     payload.push_back(static_cast<char>(storage::WalOp::kViewFlush));
     storage::PutLengthPrefixed(&payload, def_.view_name);
@@ -50,23 +53,22 @@ Status ManagedView::Flush() {
 }
 
 Status ManagedView::PublishEpoch() {
-  if (!adopted_ || !snapshots_supported_) return Status::OK();
+  if (!adopted_) return Status::OK();
   if (db_ != nullptr && db_->in_update_batch()) {
     // Mid-batch: publishing here would expose a partially applied statement
-    // to snapshot readers (the gated path never allowed that) and would
-    // seal one chunk per row of a multi-row insert. Defer to the outermost
-    // EndUpdateBatch — the real epoch boundary.
+    // to snapshot readers and would seal one chunk per row of a multi-row
+    // insert. Defer to the outermost EndUpdateBatch — the real epoch
+    // boundary.
     epoch_publish_pending_ = true;
     return Status::OK();
   }
+  return SealEpoch();
+}
+
+Status ManagedView::SealEpoch() {
   if (store_reset_pending_) {
     std::vector<core::Entity> ents;
-    Status s = view_->ExportEntities(&ents);
-    if (s.IsNotSupported()) {
-      snapshots_supported_ = false;
-      return Status::OK();
-    }
-    HAZY_RETURN_NOT_OK(s);
+    HAZY_RETURN_NOT_OK(view_->ExportEntities(&ents));
     store_builder_.ReplaceAll(std::move(ents));
     store_reset_pending_ = false;
   }
@@ -475,18 +477,18 @@ StatusOr<ManagedView*> Database::CreateClassificationView(
   HAZY_ASSIGN_OR_RETURN(mv->view_, BuildCoreView(def));
   HAZY_RETURN_NOT_OK(mv->view_->BulkLoad(ents));
 
-  // Replay any pre-existing training examples, then arm the triggers.
+  // Replay any pre-existing training examples. Inside an update batch the
+  // replay queues them; fold the queue so the first epoch carries them.
   ManagedView* raw = mv.get();
   HAZY_RETURN_NOT_OK(examples->Scan([&](const Row& row) {
     inner = OnExampleInsert(raw, row);
     return inner.ok();
   }));
   HAZY_RETURN_NOT_OK(inner);
+  HAZY_RETURN_NOT_OK(raw->Flush());
 
+  HAZY_RETURN_NOT_OK(AdoptView(std::move(mv)).status());
   HAZY_RETURN_NOT_OK(ArmTriggers(raw));
-
-  AdoptView(std::move(mv));
-  HAZY_RETURN_NOT_OK(raw->PublishEpoch());
   // During recovery replay the collectors are not yet registered;
   // RegisterStatsCollectors picks the view up once the database is live.
   if (!stats_collectors_.empty()) {
@@ -508,9 +510,12 @@ StatusOr<ManagedView*> Database::CreateClassificationView(
   return raw;
 }
 
-ManagedView* Database::AdoptView(std::unique_ptr<ManagedView> mv) {
+StatusOr<ManagedView*> Database::AdoptView(std::unique_ptr<ManagedView> mv) {
   ManagedView* raw = mv.get();
   raw->epochs_.SetMetricLabels(ViewLabel(raw->def()));
+  // No reader can see the view yet, so the first publish need not wait for
+  // the end of an enclosing update batch.
+  HAZY_RETURN_NOT_OK(raw->SealEpoch());
   raw->adopted_ = true;
   MutexLock lock(views_mu_);
   views_.push_back(std::move(mv));
@@ -612,7 +617,7 @@ Status Database::OnEntityInsert(ManagedView* mv, const Row& row) {
   HAZY_RETURN_NOT_OK(mv->view_->AddEntity(ent));
   // Mirror the append into the snapshot store builder (sealed into a chunk
   // at the next publish); a pending reset re-exports everything anyway.
-  if (mv->snapshots_supported_ && !mv->store_reset_pending_) {
+  if (!mv->store_reset_pending_) {
     mv->store_builder_.Append(ent);
   }
   return mv->PublishEpoch();

@@ -104,13 +104,13 @@ class ManagedView {
   /// Trigger updates queued and not yet applied to the core view.
   size_t pending_updates() const { return pending_.size(); }
 
-  /// True once a read epoch has been published. Monotonic for the lifetime
-  /// of the view object: a caller seeing true can Pin without re-checking.
+  /// True once a read epoch has been published. Database::AdoptView
+  /// publishes the first epoch before it registers the view, so this holds
+  /// for every view a caller can look up.
   bool HasSnapshot() const { return epochs_.HasPublished(); }
 
-  /// Pins the latest published epoch for lock-free snapshot reads (empty
-  /// when none published — architectures that cannot export their entity
-  /// set never publish, and their reads stay on the gated path).
+  /// Pins the latest published epoch for lock-free snapshot reads — the
+  /// only way SQL reads a view. Never empty for an adopted view.
   core::SnapshotPin PinSnapshot() { return epochs_.Pin(); }
 
   /// The view's epoch machinery (tests and introspection).
@@ -122,12 +122,16 @@ class ManagedView {
 
   /// Publishes the current (model, entity set) as a new read epoch. Called
   /// by the write side at batch boundaries — after Flush, a non-batched
-  /// trigger update, a retrain, or a checkpoint restore. Inside an update
-  /// batch it only records the request (epoch_publish_pending_); the
-  /// outermost EndUpdateBatch performs the actual publish so readers never
-  /// observe a partially applied statement. No-op until the view is adopted
-  /// into the database and for architectures without ExportEntities support.
+  /// trigger update, or a retrain. Inside an update batch it only records
+  /// the request (epoch_publish_pending_); the outermost EndUpdateBatch
+  /// performs the actual publish so readers never observe a partially
+  /// applied statement. No-op until the view is adopted: AdoptView
+  /// publishes the first epoch itself.
   Status PublishEpoch();
+
+  /// Publishes now, batch or not (PublishEpoch's unconditional half).
+  /// Re-seeds the store builder from the core view when a reset is pending.
+  Status SealEpoch();
 
   ClassificationViewDef def_;
   std::unique_ptr<features::FeatureFunction> feature_fn_;
@@ -152,13 +156,10 @@ class ManagedView {
   /// mid-batch would let snapshot readers observe a partially applied
   /// statement, so the publish defers to the outermost EndUpdateBatch.
   bool epoch_publish_pending_ = false;
-  /// Cleared on the first ExportEntities NotSupported; stops both publish
-  /// attempts and builder appends for kernel-style architectures.
-  bool snapshots_supported_ = true;
-  /// Set by Database::AdoptView; publications before adoption are skipped
-  /// (creation replays one trigger per pre-existing example — per-example
-  /// full exports there would be quadratic, and no reader can see the view
-  /// yet).
+  /// Set by Database::AdoptView once the first epoch is published;
+  /// publications before adoption are skipped (creation replays one
+  /// trigger per pre-existing example — per-example full exports there
+  /// would be quadratic, and no reader can see the view yet).
   bool adopted_ = false;
 };
 
@@ -362,10 +363,12 @@ class Database {
   /// (shared by view creation and checkpoint recovery).
   Status ArmTriggers(ManagedView* mv);
 
-  /// Installs a fully built view into views_ (under views_mu_, so lock-free
-  /// readers resolving names never race the vector growing) and wires its
-  /// epoch metric labels. Returns the stable raw pointer.
-  ManagedView* AdoptView(std::unique_ptr<ManagedView> mv)
+  /// Publishes a fully built view's first read epoch, then installs it
+  /// into views_ (under views_mu_, so lock-free readers resolving names
+  /// never race the vector growing). Every registered view therefore
+  /// answers SQL reads from an epoch; a failed publish registers nothing.
+  /// Returns the stable raw pointer.
+  StatusOr<ManagedView*> AdoptView(std::unique_ptr<ManagedView> mv)
       EXCLUDES(views_mu_);
 
   /// Stable raw pointers to every installed view, copied under views_mu_.

@@ -414,42 +414,33 @@ StatusOr<ResultSet> Executor::ExecInsert(const InsertStmt& stmt) {
 
 bool IsSnapshotRead(engine::Database* db, const Statement& stmt) {
   const auto* sel = std::get_if<SelectStmt>(&stmt);
-  if (sel == nullptr) return false;
-  // The view must be resolved AND dereferenced under the scope: unregistered,
-  // a concurrent VACUUM drain sees no reader and frees the object between
-  // GetView and HasSnapshot. Inactive scope (swap in progress) means the
-  // statement belongs on the serialized path anyway.
-  engine::SnapshotReadScope scope(db);
-  if (!scope.active()) return false;
-  auto view = db->GetView(sel->table);
-  return view.ok() && (*view)->HasSnapshot();
+  // HasView consults the registry under its own lock and dereferences no
+  // view, so it is safe against a concurrent VACUUM swap; ExecSelect
+  // resolves the view again under a SnapshotReadScope.
+  return sel != nullptr && db->HasView(sel->table);
 }
 
 StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
                                              engine::ManagedView* view) {
-  if (view->HasSnapshot()) {
-    // The read's only synchronization is the pin acquisition — a lock-free
-    // shared_ptr load. Its latency lands in the mode="read" gate histogram
-    // so the before/after against mode="shared" is one SHOW METRICS away.
-    static obs::Histogram* read_wait = obs::Registry::Global().GetHistogram(
-        "hazy_gate_wait_us", "mode=\"read\"");
-    const int64_t t0 = NowNanos();
-    core::SnapshotPin snap = view->PinSnapshot();
-    read_wait->Observe(static_cast<double>(NowNanos() - t0) / 1000.0);
-    if (snap) return ExecSelectViewSnapshot(stmt, view, *snap);
+  // The read's only synchronization is the pin acquisition — a lock-free
+  // shared_ptr load. Its latency lands in the mode="read" gate histogram
+  // so the comparison against mode="shared" is one SHOW METRICS away.
+  static obs::Histogram* read_wait = obs::Registry::Global().GetHistogram(
+      "hazy_gate_wait_us", "mode=\"read\"");
+  const int64_t t0 = NowNanos();
+  core::SnapshotPin snap = view->PinSnapshot();
+  read_wait->Observe(static_cast<double>(NowNanos() - t0) / 1000.0);
+  if (!snap) {
+    return Status::Internal(StrFormat("view %s has no published epoch",
+                                      view->name().c_str()));
   }
-  return ExecSelectViewGated(stmt, view);
-}
 
-StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
-    const SelectStmt& stmt, engine::ManagedView* view,
-    const core::EpochSnapshot& snap) {
   ResultSet rs;
   const std::string key_col = view->def().entity_key;
   // The answers come from the pinned epoch, but the work is still this
   // view's read traffic: feed its stats (relaxed cells, safe concurrent
-  // with the writer) and the statement trace exactly as the gated path
-  // would, so SHOW METRICS / EXPLAIN TRACE see one coherent story.
+  // with the writer) and the statement trace, so SHOW METRICS / EXPLAIN
+  // TRACE see one coherent story.
   std::shared_ptr<core::ClassificationView> live = view->SharedView();
   core::ViewStats* vstats = live->mutable_stats();
 
@@ -474,6 +465,11 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     }
     rs.rows.push_back(std::move(row));
   };
+  auto count_row = [&](uint64_t n) {
+    rs.columns = {{"count", storage::ColumnType::kInt64}};
+    rs.rows = {Row{static_cast<int64_t>(n)}};
+    return rs;
+  };
 
   if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, key_col) &&
       stmt.where->op == CompareOp::kEq) {
@@ -483,16 +479,11 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     }
     int64_t id = std::get<int64_t>(stmt.where->value);
     ++vstats->single_reads;
-    auto sign = snap.SingleEntityRead(id);
+    auto sign = snap->SingleEntityRead(id);
     if (sign.status().IsNotFound()) {
       // Empty result, not an error.
     } else {
       HAZY_RETURN_NOT_OK(sign.status());
-      if (stmt.count_star) {
-        rs.columns = {{"count", storage::ColumnType::kInt64}};
-        rs.rows.push_back(Row{static_cast<int64_t>(1)});
-        return rs;
-      }
       emit(id, view->LabelString(*sign));
     }
   } else if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, "class") &&
@@ -505,14 +496,12 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     HAZY_ASSIGN_OR_RETURN(int member_sign, view->LabelSign(label));
     obs::TraceScope scan_span(obs::SpanKind::kLazyScan);
     ++vstats->all_members_queries;
-    vstats->tuples_scanned += snap.num_entities();
+    vstats->tuples_scanned += snap->num_entities();
     if (stmt.count_star) {
-      HAZY_ASSIGN_OR_RETURN(uint64_t n, snap.AllMembersCount(member_sign));
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(n)});
-      return rs;
+      HAZY_ASSIGN_OR_RETURN(uint64_t n, snap->AllMembersCount(member_sign));
+      return count_row(n);
     }
-    HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap.AllMembers(member_sign));
+    HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap->AllMembers(member_sign));
     for (int64_t id : ids) {
       emit(id, label);
       if (stmt.limit.has_value() &&
@@ -521,23 +510,16 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
       }
     }
   } else if (!stmt.where.has_value()) {
-    // Full view scan: both classes.
+    // Full view scan: every entity is exactly one row, so COUNT(*) needs
+    // no classification at all.
+    if (stmt.count_star) return count_row(snap->num_entities());
     obs::TraceScope scan_span(obs::SpanKind::kLazyScan);
-    std::vector<std::pair<int64_t, std::string>> all;
-    for (int sign : {1, -1}) {
-      ++vstats->all_members_queries;
-      vstats->tuples_scanned += snap.num_entities();
-      HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap.AllMembers(sign));
-      for (int64_t id : ids) all.emplace_back(id, view->LabelString(sign));
-    }
+    ++vstats->all_members_queries;
+    vstats->tuples_scanned += snap->num_entities();
+    std::vector<std::pair<int64_t, int8_t>> all = snap->AllLabels();
     std::sort(all.begin(), all.end());
-    if (stmt.count_star) {
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(all.size())});
-      return rs;
-    }
-    for (const auto& [id, label] : all) {
-      emit(id, label);
+    for (const auto& [id, sign] : all) {
+      emit(id, view->LabelString(sign));
       if (stmt.limit.has_value() &&
           rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
         break;
@@ -548,118 +530,7 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
         "view predicates must be '<key> = n' or \"class = 'label'\"");
   }
 
-  if (stmt.count_star) {
-    rs.columns = {{"count", storage::ColumnType::kInt64}};
-    rs.rows = {Row{static_cast<int64_t>(rs.rows.size())}};
-    return rs;
-  }
-  for (const auto& col : proj) {
-    rs.columns.push_back({col, EqualsIgnoreCase(col, key_col)
-                                   ? storage::ColumnType::kInt64
-                                   : storage::ColumnType::kText});
-  }
-  return rs;
-}
-
-StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
-                                                  engine::ManagedView* view) {
-  ResultSet rs;
-  const std::string key_col = view->def().entity_key;
-
-  // Projection over the view's (id, class) schema.
-  std::vector<std::string> proj = stmt.columns;
-  if (proj.empty() && !stmt.count_star) proj = {key_col, "class"};
-  for (const auto& col : proj) {
-    if (!EqualsIgnoreCase(col, key_col) && !EqualsIgnoreCase(col, "class")) {
-      return Status::InvalidArgument(StrFormat(
-          "view %s has columns (%s, class); no column '%s'",
-          view->name().c_str(), key_col.c_str(), col.c_str()));
-    }
-  }
-
-  auto emit = [&](int64_t id, const std::string& label) {
-    Row row;
-    for (const auto& col : proj) {
-      if (EqualsIgnoreCase(col, key_col)) {
-        row.emplace_back(id);
-      } else {
-        row.emplace_back(label);
-      }
-    }
-    rs.rows.push_back(std::move(row));
-  };
-
-  if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, key_col) &&
-      stmt.where->op == CompareOp::kEq) {
-    // Single Entity read.
-    if (!std::holds_alternative<int64_t>(stmt.where->value)) {
-      return Status::InvalidArgument("key predicate must compare to an integer");
-    }
-    int64_t id = std::get<int64_t>(stmt.where->value);
-    auto label = view->LabelOf(id);
-    if (label.status().IsNotFound()) {
-      // Empty result, not an error.
-    } else {
-      HAZY_RETURN_NOT_OK(label.status());
-      if (stmt.count_star) {
-        rs.columns = {{"count", storage::ColumnType::kInt64}};
-        rs.rows.push_back(Row{static_cast<int64_t>(1)});
-        return rs;
-      }
-      emit(id, *label);
-    }
-  } else if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, "class") &&
-             stmt.where->op == CompareOp::kEq) {
-    // All Members.
-    if (!std::holds_alternative<std::string>(stmt.where->value)) {
-      return Status::InvalidArgument("class predicate must compare to a string label");
-    }
-    const std::string& label = std::get<std::string>(stmt.where->value);
-    if (stmt.count_star) {
-      HAZY_ASSIGN_OR_RETURN(uint64_t n, view->CountOf(label));
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(n)});
-      return rs;
-    }
-    HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, view->MembersOf(label));
-    for (int64_t id : ids) {
-      emit(id, label);
-      if (stmt.limit.has_value() &&
-          rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
-        break;
-      }
-    }
-  } else if (!stmt.where.has_value()) {
-    // Full view scan: both classes.
-    std::vector<std::pair<int64_t, std::string>> all;
-    for (int sign : {1, -1}) {
-      HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids,
-                            view->view()->AllMembers(sign));
-      for (int64_t id : ids) all.emplace_back(id, view->LabelString(sign));
-    }
-    std::sort(all.begin(), all.end());
-    if (stmt.count_star) {
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(all.size())});
-      return rs;
-    }
-    for (const auto& [id, label] : all) {
-      emit(id, label);
-      if (stmt.limit.has_value() &&
-          rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
-        break;
-      }
-    }
-  } else {
-    return Status::NotSupported(
-        "view predicates must be '<key> = n' or \"class = 'label'\"");
-  }
-
-  if (stmt.count_star) {
-    rs.columns = {{"count", storage::ColumnType::kInt64}};
-    rs.rows = {Row{static_cast<int64_t>(rs.rows.size())}};
-    return rs;
-  }
+  if (stmt.count_star) return count_row(rs.rows.size());
   for (const auto& col : proj) {
     // A view's schema is (entity key INT, class TEXT).
     rs.columns.push_back({col, EqualsIgnoreCase(col, key_col)
@@ -674,8 +545,8 @@ StatusOr<ResultSet> Executor::ExecSelect(const SelectStmt& stmt) {
     // Resolve the target only while registered as a snapshot reader: a
     // concurrent VACUUM drains registered readers before ResetHandles frees
     // the view/table objects, so a pointer resolved before registering is a
-    // use-after-free window. The scope also covers the gated and base-table
-    // paths — the handles they scan die in the same teardown.
+    // use-after-free window. The scope also covers the base-table path —
+    // the handles it scans die in the same teardown.
     engine::SnapshotReadScope scope(db_);
     if (scope.active()) {
       if (!db_->HasView(stmt.table)) return ExecSelectTable(stmt);

@@ -1,6 +1,7 @@
 // Executes parsed statements against a Database. SELECTs over a
-// classification view are routed to the Hazy maintenance engine exactly the
-// way the paper's UDF/trigger plumbing reroutes PostgreSQL queries (B.1):
+// classification view answer from the view's published epoch snapshot,
+// dispatched by shape the way the paper's UDF/trigger plumbing reroutes
+// PostgreSQL queries (B.1):
 //   WHERE <key> = k       -> Single Entity read
 //   WHERE class = 'label' -> All Members
 //   COUNT(*) variants     -> All Members count
@@ -62,20 +63,12 @@ class Executor {
   StatusOr<ResultSet> ExecSelect(const SelectStmt& stmt);
   /// Scans a base table (caller holds the protection ExecSelect describes).
   StatusOr<ResultSet> ExecSelectTable(const SelectStmt& stmt);
-  /// Routes a view SELECT: epoch-snapshot path when one is published (reads
-  /// never wait on ingest), gated legacy path otherwise. The caller keeps
-  /// `view` valid (ExecSelect's scope or statement-mutex hold).
+  /// Answers a view SELECT — every read shape — from the view's pinned
+  /// epoch snapshot, without taking the statement gate or folding pending
+  /// trigger updates: readers see the last published batch boundary (MVCC
+  /// semantics). The caller keeps `view` valid (ExecSelect's scope or
+  /// statement-mutex hold).
   StatusOr<ResultSet> ExecSelectView(const SelectStmt& stmt, engine::ManagedView* view);
-  /// The lock-free read path: answers from a pinned epoch snapshot without
-  /// taking the statement gate or folding pending trigger updates (readers
-  /// see the last published batch boundary — MVCC semantics).
-  StatusOr<ResultSet> ExecSelectViewSnapshot(const SelectStmt& stmt,
-                                             engine::ManagedView* view,
-                                             const core::EpochSnapshot& snap);
-  /// The legacy path: reads under the statement gate with read-your-writes
-  /// (pending trigger updates fold first).
-  StatusOr<ResultSet> ExecSelectViewGated(const SelectStmt& stmt,
-                                          engine::ManagedView* view);
   StatusOr<ResultSet> ExecDelete(const DeleteStmt& stmt);
   StatusOr<ResultSet> ExecUpdate(const UpdateStmt& stmt);
   StatusOr<ResultSet> ExecCheckpoint();
@@ -99,14 +92,12 @@ class Executor {
 StatusOr<bool> MatchesPredicate(const storage::Schema& schema, const storage::Row& row,
                                 const Predicate& pred);
 
-/// True when `stmt` is a SELECT over a classification view with a published
-/// epoch snapshot. Such statements read immutable state and may run without
-/// the whole-statement mutex (server/session.cc uses this to let reads
-/// bypass a saturating update stream). The check registers itself as a
-/// snapshot reader for its duration (and answers false while a VACUUM swap
-/// refuses registration), so it never dereferences a view a concurrent
-/// VACUUM is tearing down. HasSnapshot is monotonic, so a true answer
-/// cannot be invalidated by concurrent ingest.
+/// True when `stmt` is a SELECT over a classification view. Every view
+/// answers SQL reads from its published epoch, so such statements read
+/// immutable state and may run without the whole-statement mutex
+/// (server/session.cc uses this to let reads bypass a saturating update
+/// stream). The check dereferences no view, so a concurrent VACUUM cannot
+/// invalidate it.
 bool IsSnapshotRead(engine::Database* db, const Statement& stmt);
 
 }  // namespace hazy::sql

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/database.h"
@@ -45,14 +47,27 @@ constexpr ArchMode kArchModes[] = {
 
 class EngineSnapshotTest : public ::testing::TestWithParam<ArchMode> {
  protected:
-  void SetUp() override {
-    db_ = std::make_unique<Database>();
+  void SetUp() override { OpenWithCorpus(DatabaseOptions{}); }
+
+  /// Opens a fresh database (replacing any open one) and loads the corpus.
+  void OpenWithCorpus(DatabaseOptions opts) {
+    db_ = std::make_unique<Database>(std::move(opts));
     ASSERT_TRUE(db_->Open().ok());
     BuildTestCorpus(db_.get());
     auto examples = db_->catalog()->GetTable("Example_Papers");
     ASSERT_TRUE(examples.ok());
     examples_ = *examples;
     exec_ = std::make_unique<sql::Executor>(db_.get());
+  }
+
+  /// A file-backed path unique to this test and parameter, with no
+  /// leftovers from an earlier run.
+  std::string FreshPath(const std::string& stem) {
+    const std::string path =
+        ::testing::TempDir() + stem + "_" + GetParam().name + ".db";
+    ::unlink(path.c_str());
+    ::unlink((path + "-wal").c_str());
+    return path;
   }
 
   ClassificationViewDef Def() {
@@ -144,6 +159,129 @@ TEST_P(EngineSnapshotTest, SnapshotAnswersMatchLiveViewAtBatchBoundary) {
     ASSERT_TRUE(sql_count.ok() && api_count.ok());
     EXPECT_EQ(static_cast<uint64_t>(*sql_count), *api_count) << label;
   }
+
+  // The unfiltered shapes: every entity exactly once, in id order, labeled
+  // as the engine API's two member lists say.
+  std::vector<std::pair<int64_t, std::string>> api_all;
+  for (const char* label : {"DB", "OTHER"}) {
+    auto members = view->MembersOf(label);
+    ASSERT_TRUE(members.ok());
+    for (int64_t id : *members) api_all.emplace_back(id, label);
+  }
+  std::sort(api_all.begin(), api_all.end());
+  auto all = MustExec("SELECT * FROM Labeled_Papers");
+  std::vector<std::pair<int64_t, std::string>> sql_all;
+  for (size_t i = 0; i < all.rows.size(); ++i) {
+    auto id = all.Int64At(i, 0);
+    auto label = all.TextAt(i, 1);
+    ASSERT_TRUE(id.ok() && label.ok());
+    sql_all.emplace_back(*id, *label);
+  }
+  EXPECT_EQ(sql_all, api_all);
+  auto count = MustExec("SELECT COUNT(*) FROM Labeled_Papers");
+  ASSERT_EQ(count.rows.size(), 1u);
+  auto n = count.Int64At(0, 0);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(static_cast<size_t>(*n), api_all.size());
+}
+
+// A view created inside an update batch (sql_shell '\batch on', then CREATE
+// CLASSIFICATION VIEW) publishes its first epoch before it becomes visible:
+// creation folds the examples its replay queued, so mid-batch SQL reads
+// answer under the trained model. Replaying that batch after a restart
+// rebuilds the view bit-identically.
+TEST_P(EngineSnapshotTest, ViewCreatedInsideBatchReadsItsFirstEpoch) {
+  const std::string path = FreshPath("hazy_batch_created_view");
+  DatabaseOptions opts;
+  opts.path = path;
+  // Tuple-count reorganization costs keep Skiing's accumulator
+  // deterministic, so replay can reproduce the state bit for bit.
+  opts.view_defaults.cost_model = core::CostModel::kTupleCount;
+  OpenWithCorpus(opts);
+  // Examples exist before the view, so creation replays (and, inside the
+  // batch, queues) all ten.
+  TrainAll();
+
+  db_->BeginUpdateBatch();
+  ManagedView* view = MustCreateView();
+  ASSERT_NE(view, nullptr);
+  ASSERT_TRUE(view->HasSnapshot()) << "an adopted view must have an epoch";
+  EXPECT_EQ(view->pending_updates(), 0u)
+      << "creation must fold the examples its replay queued";
+
+  // Mid-batch SQL answers equal the live model over the exported entities.
+  std::vector<core::Entity> entities;
+  ASSERT_TRUE(view->view()->ExportEntities(&entities).ok());
+  ASSERT_EQ(entities.size(), static_cast<size_t>(kTestCorpusSize));
+  uint64_t positives = 0;
+  for (const core::Entity& e : entities) {
+    const int sign = view->view()->model().Classify(e.features);
+    positives += sign > 0 ? 1 : 0;
+    auto rs = MustExec("SELECT class FROM Labeled_Papers WHERE id = " +
+                       std::to_string(e.id));
+    ASSERT_EQ(rs.rows.size(), 1u);
+    auto label = rs.TextAt(0, 0);
+    ASSERT_TRUE(label.ok());
+    EXPECT_EQ(*label, view->LabelString(sign)) << "paper " << e.id;
+  }
+  for (const char* label : {"DB", "OTHER"}) {
+    auto rs = MustExec(
+        std::string("SELECT COUNT(*) FROM Labeled_Papers WHERE class = '") +
+        label + "'");
+    ASSERT_EQ(rs.rows.size(), 1u);
+    auto n = rs.Int64At(0, 0);
+    ASSERT_TRUE(n.ok());
+    const uint64_t expected = std::string(label) == "DB"
+                                  ? positives
+                                  : entities.size() - positives;
+    EXPECT_EQ(static_cast<uint64_t>(*n), expected) << label;
+  }
+
+  // Later work in the same batch queues; readers stay on the creation epoch
+  // until the batch boundary publishes.
+  const uint64_t creation_epoch = view->epochs().latest_epoch();
+  auto papers = db_->catalog()->GetTable("Papers");
+  ASSERT_TRUE(papers.ok());
+  ASSERT_TRUE((*papers)
+                  ->Insert(storage::Row{int64_t{10},
+                                        std::string("database query engines")})
+                  .ok());
+  ASSERT_TRUE(
+      examples_->Insert(storage::Row{int64_t{10}, std::string("DB")}).ok());
+  EXPECT_GT(view->pending_updates(), 0u);
+  EXPECT_EQ(view->epochs().latest_epoch(), creation_epoch);
+  ASSERT_TRUE(db_->EndUpdateBatch().ok());
+  EXPECT_EQ(view->epochs().latest_epoch(), creation_epoch + 1);
+
+  // Read tallies and wall-clock totals are reporting-only; zero them so the
+  // blobs compare the maintained state alone.
+  auto state_blob = [this](ManagedView* v) {
+    *v->view()->mutable_stats() = core::ViewStats{};
+    std::string blob;
+    EXPECT_TRUE(
+        persist::ViewCheckpointer(db_.get()).SerializeViewState(*v, &blob).ok());
+    return blob;
+  };
+  const std::string rows_live = Encoded(MustExec("SELECT * FROM Labeled_Papers"));
+  const std::string blob_live = state_blob(view);
+
+  // Close without a checkpoint: recovery replays the batch, view creation
+  // included, from the write-ahead log.
+  exec_.reset();
+  db_.reset();
+  db_ = std::make_unique<Database>(opts);
+  ASSERT_TRUE(db_->Open().ok());
+  exec_ = std::make_unique<sql::Executor>(db_.get());
+  auto recovered = db_->GetView("Labeled_Papers");
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_TRUE((*recovered)->HasSnapshot());
+  EXPECT_EQ(state_blob(*recovered), blob_live);
+  EXPECT_EQ(Encoded(MustExec("SELECT * FROM Labeled_Papers")), rows_live);
+
+  exec_.reset();
+  db_.reset();
+  ::unlink(path.c_str());
+  ::unlink((path + "-wal").c_str());
 }
 
 // MVCC semantics: while an update batch is open, snapshot readers keep
@@ -268,20 +406,10 @@ TEST_P(EngineSnapshotTest, RetiredEpochReclaimsAfterLastUnpin) {
 // them nor corrupt durable state: after the race, recovery rebuilds the
 // view bit-identically (same serialized state blob).
 TEST_P(EngineSnapshotTest, CheckpointRacingReadersRecoversBitIdentical) {
-  const std::string path = ::testing::TempDir() + "hazy_snapshot_race_" +
-                           GetParam().name + ".db";
-  ::unlink(path.c_str());
-  ::unlink((path + "-wal").c_str());
-
+  const std::string path = FreshPath("hazy_snapshot_race");
   DatabaseOptions opts;
   opts.path = path;
-  db_ = std::make_unique<Database>(opts);
-  ASSERT_TRUE(db_->Open().ok());
-  BuildTestCorpus(db_.get());
-  auto examples = db_->catalog()->GetTable("Example_Papers");
-  ASSERT_TRUE(examples.ok());
-  examples_ = *examples;
-  exec_ = std::make_unique<sql::Executor>(db_.get());
+  OpenWithCorpus(opts);
 
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);

@@ -244,7 +244,7 @@ TEST_F(WalCrashInjectionTest, KillAtEveryPrefixWithSnapshotReadersMatchesReferen
         while (!stop.load(std::memory_order_relaxed)) {
           // Route exactly like a server session: only snapshot-eligible
           // reads run without the statement serialization (before the view
-          // publishes its first epoch there is nothing to read).
+          // exists there is nothing to read).
           if (sql::IsSnapshotRead(&db, *stmt)) {
             EXPECT_TRUE(exec.Execute(*stmt).ok());
           } else {
