@@ -14,10 +14,11 @@
 //             to prove overload degrades to load-shedding, not to collapse.
 //
 // Both phases run with a STATS-opcode prober attached: a side connection
-// round-trips registry snapshots throughout, recording the BUSY-shed count
-// and peak admission-queue depth (hazy_server_inflight) from the server's
-// own metrics — and proving STATS stays answerable while every worker is
-// saturated, since the reactor thread serves it without admission.
+// round-trips registry snapshots throughout, proving STATS stays answerable
+// while every worker is saturated, since the reactor thread serves it
+// without admission. A final snapshot after the overload phase reads the
+// BUSY-shed count and the peak admission-queue depth
+// (hazy_server_inflight_peak, recorded by the dispatcher at admit time).
 //
 // Environment knobs:
 //   HAZY_RTT_CONNS     rtt-phase connections        (default 1000)
@@ -222,7 +223,6 @@ double RegistryValue(const hazy::sql::ResultSet& rs, const std::string& name) {
 struct StatsProbeResult {
   uint64_t ok = 0;
   uint64_t failed = 0;
-  double peak_inflight = 0;   // max hazy_server_inflight gauge seen
   double peak_connections = 0;  // max hazy_server_connections gauge seen
 };
 
@@ -241,8 +241,6 @@ StatsProbeResult WithStatsProbe(uint16_t port,
       auto rs = (*client)->Stats("hazy_server_");
       if (rs.ok()) {
         ++probe.ok;
-        probe.peak_inflight =
-            std::max(probe.peak_inflight, RegistryValue(*rs, "hazy_server_inflight"));
         probe.peak_connections = std::max(
             probe.peak_connections, RegistryValue(*rs, "hazy_server_connections"));
       } else {
@@ -315,6 +313,7 @@ int main(int argc, char** argv) {
   LoadResult overload;
   StatsProbeResult overload_probe;
   double registry_shed = -1;
+  double inflight_peak = -1;
   {
     hazy::server::Server server(&db, small);
     if (!server.Start().ok()) {
@@ -345,9 +344,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "overload setup failed\n");
       return 1;
     }
-    // The prober watches the admission queue (hazy_server_inflight) fill
-    // while the 1-worker server sheds, then a final snapshot records the
-    // registry's own count of BUSY-shed requests.
+    // The prober keeps STATS traffic flowing while the 1-worker server
+    // sheds, then a final snapshot records the registry's own count of
+    // BUSY-shed requests and the admission queue's high-water mark.
     overload_probe = WithStatsProbe(server.port(), [&] {
       overload = DriveLoad(server.port(), 64, 4, overload_target, insert);
     });
@@ -356,6 +355,7 @@ int main(int argc, char** argv) {
       auto rs = (*client)->Stats("hazy_server_");
       if (rs.ok()) {
         registry_shed = RegistryValue(*rs, "hazy_server_busy_shed_total");
+        inflight_peak = RegistryValue(*rs, "hazy_server_inflight_peak");
       }
     }
     server.Stop();
@@ -388,8 +388,7 @@ int main(int argc, char** argv) {
   table.AddRow({"stats_probe_failures",
                 std::to_string(rtt_probe.failed + overload_probe.failed)});
   table.AddRow({"registry_busy_shed_total", std::to_string(registry_shed)});
-  table.AddRow({"admission_inflight_peak",
-                std::to_string(overload_probe.peak_inflight)});
+  table.AddRow({"admission_inflight_peak", std::to_string(inflight_peak)});
   table.Print();
   std::printf(
       "STATS snapshots answered under load: %llu at %zu conns, %llu during "
@@ -409,7 +408,7 @@ int main(int argc, char** argv) {
   hazy::bench::ReportMetric("micro_server_rtt", "registry_busy_shed_total",
                             registry_shed, "count");
   hazy::bench::ReportMetric("micro_server_rtt", "admission_inflight_peak",
-                            overload_probe.peak_inflight, "count");
+                            inflight_peak, "count");
   hazy::bench::ReportMetric("micro_server_rtt", "stats_probe_ok",
                             static_cast<double>(rtt_probe.ok + overload_probe.ok),
                             "count");

@@ -79,23 +79,22 @@ Status ManagedView::SealEpoch() {
 
 StatusOr<std::string> ManagedView::LabelOf(int64_t id) {
   // View reads fold the pending trigger queue and may reorganize — they
-  // mutate view state, so they count as statements against the background
-  // checkpointer's commit section.
-  storage::StatementGate::SharedGuard gate(db_ != nullptr ? db_->statement_gate() : nullptr);
+  // mutate view state, so they hold the statement lock like any writer.
+  storage::StatementLock::Scope stmt(db_ != nullptr ? &db_->stmt_lock_ : nullptr);
   HAZY_RETURN_NOT_OK(Flush());
   HAZY_ASSIGN_OR_RETURN(int sign, view_->SingleEntityRead(id));
   return LabelString(sign);
 }
 
 StatusOr<std::vector<int64_t>> ManagedView::MembersOf(const std::string& label) {
-  storage::StatementGate::SharedGuard gate(db_ != nullptr ? db_->statement_gate() : nullptr);
+  storage::StatementLock::Scope stmt(db_ != nullptr ? &db_->stmt_lock_ : nullptr);
   HAZY_RETURN_NOT_OK(Flush());
   HAZY_ASSIGN_OR_RETURN(int sign, LabelSign(label));
   return view_->AllMembers(sign);
 }
 
 StatusOr<uint64_t> ManagedView::CountOf(const std::string& label) {
-  storage::StatementGate::SharedGuard gate(db_ != nullptr ? db_->statement_gate() : nullptr);
+  storage::StatementLock::Scope stmt(db_ != nullptr ? &db_->stmt_lock_ : nullptr);
   HAZY_RETURN_NOT_OK(Flush());
   HAZY_ASSIGN_OR_RETURN(int sign, LabelSign(label));
   return view_->AllMembersCount(sign);
@@ -108,7 +107,9 @@ StatusOr<int> ManagedView::LabelSign(const std::string& label) const {
                                            label.c_str(), def_.view_name.c_str()));
 }
 
-Database::Database(DatabaseOptions options) : options_(std::move(options)) {}
+Database::Database(DatabaseOptions options)
+    : options_(std::move(options)),
+      stmt_lock_([this] { CommitRequestedCheckpoint(); }) {}
 
 Database::~Database() {
   // Collectors first: the registry must stop polling handles about to die.
@@ -208,7 +209,7 @@ Status Database::OpenImpl() {
   pool_->SetWal(wal_.get());
   catalog_ = std::make_unique<storage::Catalog>(pool_.get());
   catalog_->SetWal(wal_.get());
-  catalog_->SetGate(&gate_);
+  catalog_->SetStatementLock(&stmt_lock_);
   persist::ViewCheckpointer ckpt(this);
   if (pager_->num_pages() == 0) {
     HAZY_RETURN_NOT_OK(ckpt.InitFresh());
@@ -324,25 +325,28 @@ Status Database::SetBackgroundWriterEnabled(bool enabled) {
 StatusOr<uint64_t> Database::Checkpoint() {
   if (!pager_) return Status::InvalidArgument("database not open");
   obs::TraceScope ckpt_span(obs::SpanKind::kCheckpoint);
-  // Snapshot-then-serialize, phase 1 (off-gate): write the bulk of the
-  // dirty page set out while statements keep running, so the exclusive
-  // commit section below only has to flush the residue dirtied since. The
-  // serialization itself must stay under the gate — before-image WAL
-  // rollback could not distinguish a checkpoint's own system-table writes
-  // from a statement's.
+  // Snapshot-then-serialize, phase 1: write the bulk of the dirty page set
+  // out (off-lock when the caller does not already hold it), so the commit
+  // section below only has to flush the residue dirtied since. The
+  // serialization itself must stay under the statement lock — before-image
+  // WAL rollback could not distinguish a checkpoint's own system-table
+  // writes from a statement's.
   HAZY_RETURN_NOT_OK(pool_->FlushUnpinned());
-  // The commit section excludes foreground statements (the background
-  // checkpointer's "short pause"); its own system-table writes re-enter the
-  // gate as the exclusive owner.
+  // The commit section excludes foreground statements; its own
+  // system-table writes re-enter the lock.
   const int64_t commit_t0 = NowNanos();
-  storage::StatementGate::ExclusiveGuard gate(&gate_);
+  storage::StatementLock::Scope stmt(&stmt_lock_);
   if (in_update_batch()) {
     return Status::InvalidArgument("cannot checkpoint inside an update batch");
   }
   obs::TraceScope commit_span(obs::SpanKind::kCheckpointCommit);
   StatusOr<uint64_t> epoch = persist::ViewCheckpointer(this).Checkpoint();
+  // This commit answers every request posted before it finished, including
+  // one posted while it ran: a later request-driven checkpoint would only
+  // repeat it.
+  checkpoint_requested_.store(false, std::memory_order_relaxed);
   // Always-on pause accounting (the daemon thread carries no trace): how
-  // long foreground statements were excluded, gate wait included.
+  // long foreground statements were excluded, lock wait included.
   static obs::Histogram* commit_hist =
       obs::Registry::Global().GetHistogram("hazy_checkpoint_commit_us");
   commit_hist->Observe(static_cast<double>(NowNanos() - commit_t0) / 1000.0);
@@ -395,7 +399,7 @@ StatusOr<std::unique_ptr<core::ClassificationView>> Database::BuildCoreView(
 
 StatusOr<ManagedView*> Database::CreateClassificationView(
     const ClassificationViewDef& def) {
-  storage::StatementGate::SharedGuard gate(&gate_);
+  storage::StatementLock::Scope stmt(&stmt_lock_);
   // The checkpoint system tables must never host a classification view —
   // its triggers would fire inside Checkpoint's own row writes.
   for (const std::string& name : {def.view_name, def.entity_table, def.label_table,
@@ -546,57 +550,58 @@ Status Database::ArmTriggers(ManagedView* raw) {
 }
 
 void Database::BeginUpdateBatch() {
-  storage::StatementGate::SharedGuard gate(&gate_);
+  storage::StatementLock::Scope stmt(&stmt_lock_);
   if (batch_depth_++ == 0 && wal_) wal_->BeginGroup();
 }
 
 Status Database::EndUpdateBatch() {
-  bool outermost = false;
+  storage::StatementLock::Scope stmt(&stmt_lock_);
+  if (batch_depth_ == 0) {
+    return Status::InvalidArgument("EndUpdateBatch without BeginUpdateBatch");
+  }
+  if (--batch_depth_ > 0) return Status::OK();
+  // batch_depth_ is back to 0, so the publishes below are real. Flush
+  // publishes when it drains pending examples; an entity-only batch leaves
+  // nothing pending (Flush early-returns), so the epoch its triggers
+  // deferred is published explicitly — exactly one epoch per outermost
+  // batch either way.
   Status first_error;
-  {
-    storage::StatementGate::SharedGuard gate(&gate_);
-    if (batch_depth_ == 0) {
-      return Status::InvalidArgument("EndUpdateBatch without BeginUpdateBatch");
-    }
-    if (--batch_depth_ > 0) return Status::OK();
-    outermost = true;
-    // batch_depth_ is back to 0, so the publishes below are real. Flush
-    // publishes when it drains pending examples; an entity-only batch
-    // leaves nothing pending (Flush early-returns), so the epoch its
-    // triggers deferred is published explicitly — exactly one epoch per
-    // outermost batch either way.
-    for (ManagedView* v : ViewListSnapshot()) {
-      Status s = v->Flush();
-      if (s.ok() && v->epoch_publish_pending_) s = v->PublishEpoch();
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
-    if (wal_) {
-      // One commit marker covers the whole batch; replay re-brackets it in
-      // BeginUpdateBatch/EndUpdateBatch so the amortized fold is reproduced.
-      Status s = wal_->EndGroup();
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
+  for (ManagedView* v : ViewListSnapshot()) {
+    Status s = v->Flush();
+    if (s.ok() && v->epoch_publish_pending_) s = v->PublishEpoch();
+    if (!s.ok() && first_error.ok()) first_error = s;
   }
-  // A checkpoint the daemon had to refuse mid-batch runs now, at the batch
-  // boundary (outside the shared gate hold — Checkpoint takes it
-  // exclusive). The boundary also consults the daemon's byte threshold
-  // directly, so the WAL bound holds deterministically for batched ingest
-  // even when a batch outpaces the daemon's poll. A failure does not fail
-  // the batch: its own work committed above, and the daemon retries.
-  bool checkpoint_now =
-      outermost && checkpoint_requested_.exchange(false, std::memory_order_relaxed);
-  if (outermost && !checkpoint_now && ckpt_daemon_ != nullptr && wal_) {
+  if (wal_) {
+    // One commit marker covers the whole batch; replay re-brackets it in
+    // BeginUpdateBatch/EndUpdateBatch so the amortized fold is reproduced.
+    Status s = wal_->EndGroup();
+    if (!s.ok() && first_error.ok()) first_error = s;
+  }
+  // The boundary consults the daemon's byte threshold directly, so the WAL
+  // bound holds deterministically for batched ingest even when a batch
+  // outpaces the daemon's poll. The checkpoint runs as the outermost
+  // statement Scope exits; its failure does not fail the batch (its own
+  // work committed above, and the daemon retries).
+  if (ckpt_daemon_ != nullptr && wal_) {
     const uint64_t threshold = ckpt_daemon_->options().wal_checkpoint_bytes;
-    checkpoint_now = threshold > 0 && wal_->tail_bytes() >= threshold;
-  }
-  if (checkpoint_now) {
-    Status s = Checkpoint().status();
-    if (!s.ok()) {
-      HAZY_LOG(Warning) << "deferred batch-boundary checkpoint failed: "
-                        << s.ToString();
-    }
+    if (threshold > 0 && wal_->tail_bytes() >= threshold) RequestCheckpoint();
   }
   return first_error;
+}
+
+void Database::CommitRequestedCheckpoint() {
+  if (in_update_batch() || !checkpoint_requested_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  // Consumed before the attempt: a failing checkpoint is retried when the
+  // daemon posts again, not at every statement exit.
+  checkpoint_requested_.store(false, std::memory_order_relaxed);
+  Status s = Checkpoint().status();
+  if (ckpt_daemon_ != nullptr) {
+    ckpt_daemon_->RecordCheckpoint(s);
+  } else if (!s.ok()) {
+    HAZY_LOG(Warning) << "requested checkpoint failed: " << s.ToString();
+  }
 }
 
 Status Database::OnEntityInsert(ManagedView* mv, const Row& row) {
@@ -956,15 +961,15 @@ Status Database::Compact() {
   // than assumed of the caller: SQL VACUUM already holds it (recursive
   // re-entry), and a direct API caller gets the same exclusion instead of
   // racing concurrent statements.
-  std::lock_guard<std::recursive_mutex> stmt_lock(statement_mu_);
+  storage::StatementLock::Scope stmt(&stmt_lock_);
   if (!pager_) return Status::InvalidArgument("database not open");
   if (in_update_batch()) {
     return Status::InvalidArgument("cannot VACUUM inside an update batch");
   }
-  // The checkpoint daemon must not run during the compaction copy: its
-  // checkpoints mutate view state (Flush) while CopyCompactInto serializes
-  // the same objects without the gate. It restarts with the reopened file
-  // (options_.checkpointer is unchanged).
+  // The checkpoint daemon must stop before ResetHandles: its copy phase
+  // flushes the pool without the statement lock. It never blocks on the
+  // lock held here, so the join returns within one poll. It restarts with
+  // the reopened file (options_.checkpointer is unchanged).
   if (ckpt_daemon_) {
     ckpt_daemon_->Stop();
     ckpt_daemon_.reset();

@@ -23,7 +23,7 @@
 #include "persist/checkpoint_daemon.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
-#include "storage/statement_gate.h"
+#include "storage/statement_lock.h"
 #include "storage/table.h"
 #include "storage/wal.h"
 
@@ -103,11 +103,6 @@ class ManagedView {
 
   /// Trigger updates queued and not yet applied to the core view.
   size_t pending_updates() const { return pending_.size(); }
-
-  /// True once a read epoch has been published. Database::AdoptView
-  /// publishes the first epoch before it registers the view, so this holds
-  /// for every view a caller can look up.
-  bool HasSnapshot() const { return epochs_.HasPublished(); }
 
   /// Pins the latest published epoch for lock-free snapshot reads — the
   /// only way SQL reads a view. Never empty for an adopted view.
@@ -239,21 +234,13 @@ class Database {
   /// The background checkpointer, when one is running (nullptr otherwise).
   persist::CheckpointDaemon* checkpoint_daemon() { return ckpt_daemon_.get(); }
 
-  /// The statement gate (shared by tables and views; exclusive for the
-  /// checkpoint commit section).
-  storage::StatementGate* statement_gate() { return &gate_; }
-
-  /// Serializes whole SQL statements from concurrent sessions. The engine is
+  /// The statement lock's mutex (storage/statement_lock.h). The engine is
   /// single-writer (triggers mutate shared view state), so the server layer
   /// holds this for the duration of each statement; in-process callers that
-  /// never share a Database across threads can ignore it. Recursive because
-  /// Compact() acquires it internally (so direct API callers get the same
-  /// exclusion SQL VACUUM does) while the SQL path already holds it.
-  /// Stays a std::recursive_mutex: clang thread-safety analysis cannot
-  /// model reentrant acquisition without reentrant_capability (too new to
-  /// require), so this one mutex is intentionally outside the annotated
-  /// hazy::Mutex surface.
-  std::recursive_mutex* statement_mutex() { return &statement_mu_; }
+  /// never share a Database across threads can ignore it, since every
+  /// mutating entry point takes the lock itself. Recursive because those
+  /// entry points (and Compact) re-enter it inside a held statement.
+  std::recursive_mutex* statement_mutex() { return stmt_lock_.mutex(); }
 
   /// Starts/stops the background checkpointer at runtime (PRAGMA
   /// checkpoint_daemon = on|off). Thresholds come from (and persist in)
@@ -305,14 +292,17 @@ class Database {
   void BeginUpdateBatch();
 
   /// Leaves batched-trigger mode, flushing every view's queue when the
-  /// outermost batch ends. If the background checkpointer tripped its
-  /// threshold mid-batch (checkpoints are refused inside a batch), the
-  /// deferred checkpoint runs here, at the batch boundary.
+  /// outermost batch ends. When the WAL tail has passed the background
+  /// checkpointer's byte threshold, the batch boundary requests a
+  /// checkpoint itself (checkpoints are refused inside a batch).
   Status EndUpdateBatch();
 
-  /// Background-checkpointer hand-off: asks the next outermost
-  /// EndUpdateBatch to checkpoint on its way out.
-  void RequestCheckpointAtBatchEnd() {
+  /// Checkpoint hand-off: the writer holding the statement lock commits a
+  /// checkpoint as its outermost statement Scope exits outside an update
+  /// batch. The background checkpointer posts this instead of waiting for
+  /// the lock; a checkpoint that completes answers every request posted
+  /// before it finished.
+  void RequestCheckpoint() {
     checkpoint_requested_.store(true, std::memory_order_relaxed);
   }
 
@@ -329,6 +319,7 @@ class Database {
   void LeaveSnapshotRead();
 
  private:
+  friend class ManagedView;
   friend class persist::ViewCheckpointer;
 
   /// Open() body; Open() wraps it with failure cleanup.
@@ -358,6 +349,10 @@ class Database {
   /// Closes every handle (pager, wal, pool, catalog, views) without touching
   /// any file — the in-place teardown Compact() uses before swapping files.
   void ResetHandles();
+
+  /// The statement lock's exit hook: commits a requested checkpoint unless
+  /// an update batch is still open.
+  void CommitRequestedCheckpoint();
 
   /// Registers the insert/update/delete triggers that keep `mv` maintained
   /// (shared by view creation and checkpoint recovery).
@@ -404,17 +399,15 @@ class Database {
   DatabaseOptions options_;
   std::string path_;
   /// See statement_mutex().
-  std::recursive_mutex statement_mu_;
-  /// Statement boundary between foreground mutations (shared holds) and the
-  /// background checkpointer's commit section (exclusive hold).
-  storage::StatementGate gate_;
+  storage::StatementLock stmt_lock_;
   bool owns_temp_file_ = false;
   /// True when this Open created the -wal sidecar file (so a failed open
   /// can remove it instead of leaving a stray next to a foreign file).
   bool created_wal_file_ = false;
-  /// Mutated under the gate (shared) by Begin/EndUpdateBatch; atomic so the
-  /// checkpoint daemon can peek without taking the gate.
+  /// Mutated under the statement lock by Begin/EndUpdateBatch; atomic so
+  /// the checkpoint daemon can peek without the lock.
   std::atomic<int> batch_depth_{0};
+  /// See RequestCheckpoint().
   std::atomic<bool> checkpoint_requested_{false};
   std::atomic<int64_t> slow_statement_ms_{-1};
   /// Registry collector handles for the storage-layer stats (WAL, pool,
@@ -422,8 +415,8 @@ class Database {
   /// collectors live in view_collectors_ keyed alongside views_.
   std::vector<uint64_t> stats_collectors_;
   std::vector<uint64_t> view_collectors_;
-  /// Advanced under the exclusive gate by checkpoints; atomic so observers
-  /// (tests, shell banners) can read it without one.
+  /// Advanced under the statement lock by checkpoints; atomic so observers
+  /// (tests, shell banners, the daemon) can read it without the lock.
   std::atomic<uint64_t> checkpoint_epoch_{0};
   /// See is_open(): flipped true after a successful Open/OpenImpl, false at
   /// the top of ResetHandles — always before the handles below are touched.

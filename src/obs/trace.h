@@ -36,7 +36,7 @@ namespace hazy::obs {
 enum class SpanKind : uint8_t {
   kStatement = 0,   // whole statement, root
   kParse,           // SQL text -> AST
-  kGateWait,        // waiting on the statement gate (shared or exclusive)
+  kGateWait,        // contended wait for the statement lock
   kExecute,         // statement body after parse
   kTriggerDrain,    // draining queued view maintenance triggers
   kLazyScan,        // lazy on-demand (re)scoring scan
@@ -47,7 +47,7 @@ enum class SpanKind : uint8_t {
   kPoolMiss,        // buffer-pool miss: page read from pager
   kPoolEvict,       // buffer-pool eviction write-back on the foreground path
   kCheckpoint,      // whole checkpoint
-  kCheckpointCommit,  // checkpoint exclusive commit section (gate held)
+  kCheckpointCommit,  // checkpoint commit section (statement lock held)
   kNumKinds
 };
 

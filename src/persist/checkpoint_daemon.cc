@@ -1,6 +1,7 @@
 #include "persist/checkpoint_daemon.h"
 
 #include <chrono>
+#include <mutex>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -63,6 +64,17 @@ Status CheckpointDaemon::last_error() const {
   return last_error_;
 }
 
+void CheckpointDaemon::RecordCheckpoint(const Status& s) {
+  MutexLock lock(mu_);
+  if (s.ok()) {
+    checkpoints_.fetch_add(1, std::memory_order_relaxed);
+    last_error_ = Status::OK();
+    return;
+  }
+  last_error_ = s;
+  HAZY_LOG(Warning) << "background checkpoint failed: " << s.ToString();
+}
+
 bool CheckpointDaemon::ShouldCheckpointLocked(double since_last_seconds) const {
   const storage::Wal* wal = db_->wal();
   if (wal == nullptr) return false;
@@ -84,9 +96,9 @@ void CheckpointDaemon::ThreadMain() {
                                                                  : options_.poll_seconds);
     cv_.WaitFor(mu_, poll);
     if (stop_.load(std::memory_order_relaxed)) break;
-    // A checkpoint taken by anyone — manual CHECKPOINT, the batch-boundary
-    // hand-off — restarts the interval clock; the daemon must not follow
-    // it with an immediate redundant one.
+    // A checkpoint taken by anyone — manual CHECKPOINT, a handed-off
+    // commit, the daemon's own — restarts the interval clock; the daemon
+    // must not follow it with an immediate redundant one.
     const uint64_t epoch = db_->checkpoint_epoch();
     if (epoch != last_epoch) {
       last_epoch = epoch;
@@ -95,46 +107,32 @@ void CheckpointDaemon::ThreadMain() {
     if (!ShouldCheckpointLocked(since_last.ElapsedSeconds())) continue;
     lock.Unlock();
 
-    // Checkpoints are refused inside an update batch; post the batch-
-    // boundary hand-off FIRST (so a long batch checkpoints the moment it
-    // ends, not a poll later), then still run the pre-flush below — it is
-    // useful concurrent work either way.
-    const bool mid_batch = db_->in_update_batch();
-    if (mid_batch) db_->RequestCheckpointAtBatchEnd();
-
     // Copy phase: flush the dirty pool (pending write-back queue included)
-    // concurrently with foreground statements. Safe without the gate —
-    // pinned frames (bytes possibly mid-mutation) are skipped, page-level
-    // write-back of the rest is idempotent and WAL-protected, and a frame
-    // re-dirtied mid-flush keeps its dirty bit. This drains the bulk of
-    // the checkpoint's I/O before anything pauses.
+    // concurrently with foreground statements. Safe without the statement
+    // lock — pinned frames (bytes possibly mid-mutation) are skipped,
+    // page-level write-back of the rest is idempotent and WAL-protected,
+    // and a frame re-dirtied mid-flush keeps its dirty bit. This drains the
+    // bulk of the checkpoint's I/O before anything pauses.
     Status s = db_->buffer_pool()->FlushUnpinned();
 
-    // Commit section: the ordinary exact checkpoint, under the exclusive
-    // statement gate (taken inside Database::Checkpoint). Foreground
-    // statements pause only for this part.
-    if (s.ok() && !mid_batch) s = db_->Checkpoint().status();
-
-    lock.Lock();
-    if (mid_batch) {
-      // Handed off; the boundary runs it. Keep polling in case the batch
-      // outlives several trips. A failing pre-flush must still be visible.
-      if (!s.ok()) {
-        last_error_ = s;
-        HAZY_LOG(Warning) << "background pre-flush failed: " << s.ToString();
+    // Commit section: the ordinary exact checkpoint, if the statement lock
+    // is free and no update batch is open; otherwise handed to the writer.
+    // Never a blocking lock(): behind a back-to-back writer it would wait
+    // for as long as the writer keeps the lock busy.
+    if (s.ok()) {
+      std::unique_lock<std::recursive_mutex> stmt(*db_->statement_mutex(),
+                                                  std::try_to_lock);
+      if (stmt.owns_lock() && !db_->in_update_batch()) {
+        s = db_->Checkpoint().status();
+        stmt.unlock();
+        RecordCheckpoint(s);
+      } else {
+        db_->RequestCheckpoint();
       }
-    } else if (s.ok()) {
-      checkpoints_.fetch_add(1, std::memory_order_relaxed);
-      last_error_ = Status::OK();
-      since_last.Reset();
-    } else if (s.IsInvalidArgument() && db_->in_update_batch()) {
-      // Raced into a batch between the peek and the gate: hand off. Any
-      // other InvalidArgument is a real failure and must stay visible.
-      db_->RequestCheckpointAtBatchEnd();
     } else {
-      last_error_ = s;
-      HAZY_LOG(Warning) << "background checkpoint failed: " << s.ToString();
+      RecordCheckpoint(s);
     }
+    lock.Lock();
   }
 }
 

@@ -7,23 +7,31 @@
 //
 //   copy phase     concurrent with foreground ingest: the pool's dirty pages
 //                  and the pending write-back queue are flushed WITHOUT the
-//                  statement gate (page-level write-back is always safe —
+//                  statement lock (page-level write-back is always safe —
 //                  frames re-dirtied mid-flush keep their dirty bit via the
 //                  per-frame generation counter, and a torn on-disk mix is
 //                  WAL-protected). This drains the bulk of the checkpoint's
 //                  I/O while statements keep running.
 //
-//   commit section the normal Database::Checkpoint under the exclusive
-//                  statement gate: view-state serialization, system-table
-//                  rows, the (now small) residual flush, header flip, WAL
-//                  rebase. Foreground statements pause only for this part.
+//   commit section the normal Database::Checkpoint under the statement lock
+//                  (storage/statement_lock.h): view-state serialization,
+//                  system-table rows, the (now small) residual flush, header
+//                  flip, WAL rebase. Foreground statements pause only for
+//                  this part.
+//
+// The daemon never waits for the statement lock. It try-locks; when a
+// writer holds the lock, or an update batch is open (checkpoints are refused
+// inside one), it hands the commit off with Database::RequestCheckpoint and
+// the writer commits it as its outermost statement Scope exits outside a
+// batch. A saturating writer therefore cannot starve the checkpoint, and
+// Compact / PRAGMA checkpoint_daemon = off can join the daemon while they
+// hold the lock.
 //
 // Exactness is inherited, not re-proven: the commit section IS the existing
 // crash-safe checkpoint, taken at a statement boundary — so the crash-
 // injection suite's bit-identical recovery guarantee holds with the daemon
-// racing kills. A checkpoint that fails (mid-batch, injected fault, crash)
-// is retried at the next trip; one that lands inside an update batch is
-// refused by Database::Checkpoint and retried later.
+// racing kills. A checkpoint that fails (injected fault, crash) is retried
+// at the next trip.
 //
 // Knobs (DatabaseOptions::checkpointer, PRAGMA wal_checkpoint_bytes /
 // wal_checkpoint_seconds): a byte threshold on the log tail, an optional
@@ -83,9 +91,16 @@ class CheckpointDaemon {
   /// Wakes the daemon to evaluate its triggers now.
   void Poke();
 
+  /// Checkpoints committed on the daemon's behalf: by the daemon itself or
+  /// by a writer it handed the commit to.
   uint64_t checkpoints_taken() const {
     return checkpoints_.load(std::memory_order_relaxed);
   }
+
+  /// Accounts one committed (or failed) checkpoint; the writer that ran a
+  /// handed-off commit reports it here.
+  void RecordCheckpoint(const Status& s) EXCLUDES(mu_);
+
   /// Last checkpoint failure (sticky until the next success); OK if none.
   Status last_error() const EXCLUDES(mu_);
 

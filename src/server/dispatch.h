@@ -40,11 +40,17 @@ class Dispatcher {
   /// client then never has its next statement shed by its own previous one.
   bool TryDispatch(std::function<void()> work,
                    std::function<void()> after_release = {}) {
-    if (in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
-        options_.max_in_flight) {
+    const size_t depth = in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (depth > options_.max_in_flight) {
       in_flight_.fetch_sub(1, std::memory_order_acq_rel);
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return false;
+    }
+    // High-water mark taken at the source: a polled in_flight() sample
+    // misses bursts that fill and drain between polls.
+    size_t peak = in_flight_peak_.load(std::memory_order_relaxed);
+    while (depth > peak && !in_flight_peak_.compare_exchange_weak(
+                               peak, depth, std::memory_order_relaxed)) {
     }
     pool_.Submit([this, work = std::move(work),
                   after_release = std::move(after_release)]() {
@@ -59,12 +65,17 @@ class Dispatcher {
   void Drain() { pool_.Wait(); }
 
   size_t in_flight() const { return in_flight_.load(std::memory_order_relaxed); }
+  /// Highest in-flight count any admission has reached.
+  size_t in_flight_peak() const {
+    return in_flight_peak_.load(std::memory_order_relaxed);
+  }
   uint64_t rejected() const { return rejected_.load(std::memory_order_relaxed); }
   const DispatchOptions& options() const { return options_; }
 
  private:
   DispatchOptions options_;
   std::atomic<size_t> in_flight_{0};
+  std::atomic<size_t> in_flight_peak_{0};
   std::atomic<uint64_t> rejected_{0};
   ThreadPool pool_;
 };

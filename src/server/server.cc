@@ -34,6 +34,8 @@ Status Server::Start() {
                      static_cast<double>(dispatcher_.rejected()));
         out->Gauge("hazy_server_inflight", "",
                    static_cast<double>(dispatcher_.in_flight()));
+        out->Gauge("hazy_server_inflight_peak", "",
+                   static_cast<double>(dispatcher_.in_flight_peak()));
         out->Gauge("hazy_server_connections", "",
                    static_cast<double>(reactor_.num_connections()));
       });

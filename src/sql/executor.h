@@ -64,7 +64,7 @@ class Executor {
   /// Scans a base table (caller holds the protection ExecSelect describes).
   StatusOr<ResultSet> ExecSelectTable(const SelectStmt& stmt);
   /// Answers a view SELECT — every read shape — from the view's pinned
-  /// epoch snapshot, without taking the statement gate or folding pending
+  /// epoch snapshot, without taking the statement lock or folding pending
   /// trigger updates: readers see the last published batch boundary (MVCC
   /// semantics). The caller keeps `view` valid (ExecSelect's scope or
   /// statement-mutex hold).

@@ -93,7 +93,7 @@ Status Table::FireAndCommit(const std::vector<UpdateTrigger>& triggers,
 }
 
 Status Table::Insert(const Row& row) {
-  StatementGate::SharedGuard gate(gate_);
+  StatementLock::Scope stmt(stmt_lock_);
   std::string rec;
   HAZY_RETURN_NOT_OK(schema_.EncodeRow(row, &rec));
   int64_t key = 0;
@@ -130,7 +130,7 @@ StatusOr<Row> Table::GetByKey(int64_t key) const {
 }
 
 Status Table::DeleteByKey(int64_t key) {
-  StatementGate::SharedGuard gate(gate_);
+  StatementLock::Scope stmt(stmt_lock_);
   if (!primary_key_.has_value()) {
     return Status::InvalidArgument(StrFormat("table %s has no primary key", name_.c_str()));
   }
@@ -146,7 +146,7 @@ Status Table::DeleteByKey(int64_t key) {
 }
 
 Status Table::UpdateByKey(int64_t key, const Row& new_row) {
-  StatementGate::SharedGuard gate(gate_);
+  StatementLock::Scope stmt(stmt_lock_);
   if (!primary_key_.has_value()) {
     return Status::InvalidArgument(StrFormat("table %s has no primary key", name_.c_str()));
   }
@@ -206,20 +206,20 @@ void Catalog::SetWal(Wal* wal) {
   for (const auto& t : tables_) t->SetWal(wal);
 }
 
-void Catalog::SetGate(StatementGate* gate) {
-  gate_ = gate;
-  for (const auto& t : tables_) t->SetGate(gate);
+void Catalog::SetStatementLock(StatementLock* lock) {
+  stmt_lock_ = lock;
+  for (const auto& t : tables_) t->SetStatementLock(lock);
 }
 
 StatusOr<Table*> Catalog::CreateTable(const std::string& name, Schema schema,
                                       std::optional<size_t> primary_key) {
-  StatementGate::SharedGuard gate(gate_);
+  StatementLock::Scope stmt(stmt_lock_);
   if (HasTable(name)) {
     return Status::AlreadyExists(StrFormat("table '%s' already exists", name.c_str()));
   }
   auto table = std::make_unique<Table>(name, std::move(schema), pool_, primary_key);
   HAZY_RETURN_NOT_OK(table->Create());
-  table->SetGate(gate_);
+  table->SetStatementLock(stmt_lock_);
   if (wal_ != nullptr) {
     // DDL after a checkpoint must replay before the rows that reference it.
     std::string payload;
@@ -250,7 +250,7 @@ StatusOr<Table*> Catalog::AttachTable(const std::string& name, Schema schema,
   auto table = std::make_unique<Table>(name, std::move(schema), pool_, primary_key);
   HAZY_RETURN_NOT_OK(table->Attach(meta));
   table->SetWal(wal_);
-  table->SetGate(gate_);
+  table->SetStatementLock(stmt_lock_);
   tables_.push_back(std::move(table));
   return tables_.back().get();
 }

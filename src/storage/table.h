@@ -15,7 +15,7 @@
 #include "storage/hash_index.h"
 #include "storage/heap_file.h"
 #include "storage/schema.h"
-#include "storage/statement_gate.h"
+#include "storage/statement_lock.h"
 #include "storage/wal.h"
 
 namespace hazy::storage {
@@ -69,9 +69,9 @@ class Table {
   /// Recovery replays the records through these same entry points.
   void SetWal(Wal* wal) { wal_ = wal; }
 
-  /// Attaches the statement gate: row mutations hold it shared so the
-  /// background checkpointer can exclude them at its commit section.
-  void SetGate(StatementGate* gate) { gate_ = gate; }
+  /// Attaches the statement lock: row mutations hold it, so a checkpoint
+  /// commit never interleaves with one.
+  void SetStatementLock(StatementLock* lock) { stmt_lock_ = lock; }
 
   /// Every page this table's heap owns (data + overflow chains); the
   /// recovery mark-and-sweep's reachability input.
@@ -103,7 +103,7 @@ class Table {
   std::optional<size_t> primary_key_;
   HashIndex pk_index_;
   Wal* wal_ = nullptr;
-  StatementGate* gate_ = nullptr;
+  StatementLock* stmt_lock_ = nullptr;
   std::vector<Trigger> insert_triggers_;
   std::vector<Trigger> delete_triggers_;
   std::vector<UpdateTrigger> update_triggers_;
@@ -135,13 +135,13 @@ class Catalog {
   /// table (existing and future) logs its row mutations through it.
   void SetWal(Wal* wal);
 
-  /// Attaches the statement gate to every table (existing and future).
-  void SetGate(StatementGate* gate);
+  /// Attaches the statement lock to every table (existing and future).
+  void SetStatementLock(StatementLock* lock);
 
  private:
   BufferPool* pool_;
   Wal* wal_ = nullptr;
-  StatementGate* gate_ = nullptr;
+  StatementLock* stmt_lock_ = nullptr;
   std::vector<std::unique_ptr<Table>> tables_;
 };
 

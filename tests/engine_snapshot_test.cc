@@ -119,13 +119,13 @@ class EngineSnapshotTest : public ::testing::TestWithParam<ArchMode> {
 
 // At a batch boundary every snapshot SQL read shape (single-entity, members,
 // count) answers bit-identically to the live view's engine API — the core
-// invariant that makes skipping the statement gate sound.
+// invariant that makes skipping the statement lock sound.
 TEST_P(EngineSnapshotTest, SnapshotAnswersMatchLiveViewAtBatchBoundary) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
   TrainAll();
-  ASSERT_TRUE(view->HasSnapshot())
-      << "no epoch published; reads would fall back to the gated path";
+  ASSERT_TRUE(view->epochs().HasPublished())
+      << "no epoch published; SQL reads of this view would fail";
 
   for (int64_t id = 0; id < 10; ++id) {
     auto rs = MustExec("SELECT class FROM Labeled_Papers WHERE id = " +
@@ -205,7 +205,7 @@ TEST_P(EngineSnapshotTest, ViewCreatedInsideBatchReadsItsFirstEpoch) {
   db_->BeginUpdateBatch();
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
-  ASSERT_TRUE(view->HasSnapshot()) << "an adopted view must have an epoch";
+  ASSERT_TRUE(view->epochs().HasPublished()) << "an adopted view must have an epoch";
   EXPECT_EQ(view->pending_updates(), 0u)
       << "creation must fold the examples its replay queued";
 
@@ -274,7 +274,7 @@ TEST_P(EngineSnapshotTest, ViewCreatedInsideBatchReadsItsFirstEpoch) {
   exec_ = std::make_unique<sql::Executor>(db_.get());
   auto recovered = db_->GetView("Labeled_Papers");
   ASSERT_TRUE(recovered.ok());
-  EXPECT_TRUE((*recovered)->HasSnapshot());
+  EXPECT_TRUE((*recovered)->epochs().HasPublished());
   EXPECT_EQ(state_blob(*recovered), blob_live);
   EXPECT_EQ(Encoded(MustExec("SELECT * FROM Labeled_Papers")), rows_live);
 
@@ -295,7 +295,7 @@ TEST_P(EngineSnapshotTest, MidBatchReaderSeesPreBatchEpoch) {
   ASSERT_TRUE(examples_->Insert(storage::Row{int64_t{0}, std::string("DB")}).ok());
   ASSERT_TRUE(
       examples_->Insert(storage::Row{int64_t{5}, std::string("OTHER")}).ok());
-  ASSERT_TRUE(view->HasSnapshot());
+  ASSERT_TRUE(view->epochs().HasPublished());
 
   const uint64_t epoch_before = view->epochs().latest_epoch();
   const std::string rows_before = Encoded(MustExec("SELECT * FROM Labeled_Papers"));
@@ -338,7 +338,7 @@ TEST_P(EngineSnapshotTest, EntityBatchPublishesOneEpochAtBoundary) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
   TrainAll();
-  ASSERT_TRUE(view->HasSnapshot());
+  ASSERT_TRUE(view->epochs().HasPublished());
   auto papers = db_->catalog()->GetTable("Papers");
   ASSERT_TRUE(papers.ok());
 
@@ -378,7 +378,7 @@ TEST_P(EngineSnapshotTest, RetiredEpochReclaimsAfterLastUnpin) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
   ASSERT_TRUE(examples_->Insert(storage::Row{int64_t{0}, std::string("DB")}).ok());
-  ASSERT_TRUE(view->HasSnapshot());
+  ASSERT_TRUE(view->epochs().HasPublished());
 
   core::SnapshotPin pin = view->PinSnapshot();
   ASSERT_TRUE(pin);
@@ -414,7 +414,7 @@ TEST_P(EngineSnapshotTest, CheckpointRacingReadersRecoversBitIdentical) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
   TrainAll();
-  ASSERT_TRUE(view->HasSnapshot());
+  ASSERT_TRUE(view->epochs().HasPublished());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
@@ -456,7 +456,7 @@ TEST_P(EngineSnapshotTest, CheckpointRacingReadersRecoversBitIdentical) {
   ASSERT_TRUE(db2->Open().ok());
   auto recovered = db2->GetView("Labeled_Papers");
   ASSERT_TRUE(recovered.ok());
-  EXPECT_TRUE((*recovered)->HasSnapshot())
+  EXPECT_TRUE((*recovered)->epochs().HasPublished())
       << "recovery must republish a read epoch";
   std::string blob_recovered;
   ASSERT_TRUE(persist::ViewCheckpointer(db2.get())
@@ -472,9 +472,9 @@ TEST_P(EngineSnapshotTest, CheckpointRacingReadersRecoversBitIdentical) {
 // Readers running the server session's exact sequence — parse, then
 // IsSnapshotRead, then Execute — while VACUUM repeatedly swaps the backing
 // file and frees every ManagedView. Regression for a use-after-free: the
-// view pointer used to be resolved (and dereferenced by HasSnapshot) before
-// the reader registered in a SnapshotReadScope, so the swap's drain could
-// miss the reader and tear the view down under it. ASan/TSan runs of this
+// view pointer used to be resolved (and dereferenced) before the reader
+// registered in a SnapshotReadScope, so the swap's drain could miss the
+// reader and tear the view down under it. ASan/TSan runs of this
 // test catch any reintroduction.
 TEST(SnapshotVacuumRaceTest, ReadersRacingVacuumNeverCrash) {
   const std::string path =
@@ -547,7 +547,7 @@ TEST(SnapshotVacuumRaceTest, ReadersRacingVacuumNeverCrash) {
   // The last swap recovered a live, snapshot-capable view.
   auto view = db.GetView("Labeled_Papers");
   ASSERT_TRUE(view.ok());
-  EXPECT_TRUE((*view)->HasSnapshot());
+  EXPECT_TRUE((*view)->epochs().HasPublished());
 
   ::unlink(path.c_str());
   ::unlink((path + "-wal").c_str());

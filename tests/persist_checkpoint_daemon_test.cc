@@ -1,13 +1,16 @@
 // Tests for the background checkpointer (persist/checkpoint_daemon.h): WAL
 // length stays bounded under sustained ingest, recovered view state is
 // bit-identical with the daemon racing kills (clean drops and torn writes
-// inside a daemon-initiated checkpoint), batch-boundary hand-off, and the
-// PRAGMA knob surface.
+// inside a daemon-initiated checkpoint), the hand-off of the commit to a
+// writer holding the statement lock (batch boundaries, saturating writers,
+// VACUUM joining the daemon, no nested checkpoints), and the PRAGMA knob
+// surface.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,7 +32,7 @@ using storage::Schema;
 
 // Deterministic cost model (see persist_wal_test.cc) + aggressive daemon:
 // tiny byte threshold, fast polls — it checkpoints constantly, racing the
-// workload statements through the statement gate.
+// workload statements for the statement lock.
 DatabaseOptions DaemonOptions(const std::string& path, bool daemon) {
   DatabaseOptions opts;
   opts.path = path;
@@ -253,6 +256,104 @@ TEST_F(CheckpointDaemonTest, BatchBoundaryHandoffBoundsWalInsideBatches) {
   // boundary hand-off must have checkpointed several times.
   EXPECT_GE(db.checkpoint_epoch(), 3u);
   EXPECT_LT(db.wal()->tail_bytes(), 1024u * 1024u);
+}
+
+TEST_F(CheckpointDaemonTest, SaturatingStatementWriterCommitsHandedOffCheckpoints) {
+  // The writer holds the statement mutex for each single-row SQL INSERT,
+  // back to back, so the lock is free only between statements. The daemon
+  // never waits for it: its try-lock fails, it posts a request, and the
+  // writer commits the checkpoint as its next row write exits.
+  DatabaseOptions opts;
+  opts.path = NewPath("daemonsaturate");
+  opts.wal.sync_mode = storage::WalOptions::SyncMode::kGroupCommit;
+  opts.checkpointer.enabled = true;
+  opts.checkpointer.wal_checkpoint_bytes = 256 * 1024;
+  opts.checkpointer.poll_seconds = 0.001;
+  Database db(opts);
+  ASSERT_TRUE(db.Open().ok());
+  sql::Executor exec(&db);
+  ASSERT_TRUE(exec.Execute("CREATE TABLE kv (id INT PRIMARY KEY, v TEXT);").ok());
+  const std::string value(512, 'v');
+  uint64_t peak = 0;
+  for (int64_t i = 0; i < 4000; ++i) {
+    std::lock_guard<std::recursive_mutex> stmt(*db.statement_mutex());
+    auto rs = exec.Execute("INSERT INTO kv VALUES (" + std::to_string(i) + ", '" +
+                           value + "');");
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    peak = std::max(peak, db.wal()->tail_bytes());
+  }
+  EXPECT_LT(peak, 4 * opts.checkpointer.wal_checkpoint_bytes)
+      << "WAL tail grew unbounded behind a saturating writer";
+  EXPECT_GE(db.checkpoint_epoch(), 2u);
+  ASSERT_NE(db.checkpoint_daemon(), nullptr);
+  EXPECT_TRUE(db.checkpoint_daemon()->last_error().ok());
+}
+
+TEST_F(CheckpointDaemonTest, CompactJoinsPollingDaemonWhileHoldingStatementLock) {
+  // VACUUM holds the statement lock while it stops (joins) the daemon. A
+  // daemon polling at 1 ms with a request pending must never be blocked on
+  // that lock, or the join — and the VACUUM — would never return. The 1 ms
+  // interval trips every poll, so the daemon is always contending.
+  DatabaseOptions opts = DaemonOptions(NewPath("daemoncompact"), /*daemon=*/true);
+  opts.checkpointer.interval_seconds = 0.001;
+  Database db(opts);
+  ASSERT_TRUE(db.Open().ok());
+  BuildTestCorpus(&db);
+  ASSERT_TRUE(db.CreateClassificationView(
+                    TestViewDef(core::Architecture::kHazyMM, core::Mode::kEager))
+                  .ok());
+  std::lock_guard<std::recursive_mutex> stmt(*db.statement_mutex());
+  for (int64_t id = 0; id < kTestCorpusSize; ++id) {
+    ASSERT_TRUE(FeedExample(&db, id).ok());
+  }
+  // Every poll while the lock is held can only post a request.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(db.Compact().ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+  EXPECT_NE(db.checkpoint_daemon(), nullptr) << "the daemon restarts after VACUUM";
+  auto examples = db.catalog()->GetTable("Example_Papers");
+  ASSERT_TRUE(examples.ok());
+  EXPECT_EQ((*examples)->num_rows(), static_cast<uint64_t>(kTestCorpusSize));
+}
+
+TEST_F(CheckpointDaemonTest, RequestPostedDuringCheckpointDoesNotNest) {
+  // A request posted while a checkpoint writes its own system-table rows
+  // (here by a trigger on __hazy_views) must not start a checkpoint inside
+  // that one: those row writes hold nested Scopes, which never run the
+  // hand-off. The running checkpoint answers the request, so no redundant
+  // checkpoint follows at the next statement either.
+  Database db(DaemonOptions(NewPath("daemonnested"), /*daemon=*/false));
+  ASSERT_TRUE(db.Open().ok());
+  BuildTestCorpus(&db);
+  ASSERT_TRUE(db.CreateClassificationView(
+                    TestViewDef(core::Architecture::kHazyMM, core::Mode::kEager))
+                  .ok());
+  ASSERT_TRUE(db.Checkpoint().ok());  // creates the system tables
+  auto views_table = db.catalog()->GetTable(persist::kViewsTableName);
+  ASSERT_TRUE(views_table.ok());
+  int posted = 0;
+  (*views_table)->AddInsertTrigger([&](const Row&) {
+    db.RequestCheckpoint();
+    ++posted;
+    return Status::OK();
+  });
+  const uint64_t before = db.checkpoint_epoch();
+
+  // Handed off: the row write commits the requested checkpoint on exit.
+  db.RequestCheckpoint();
+  ASSERT_TRUE(AddPaper(&db, 100, "sql query optimizer with btree index").ok());
+  EXPECT_EQ(posted, 1);
+  EXPECT_EQ(db.checkpoint_epoch(), before + 1);
+  ASSERT_TRUE(AddPaper(&db, 101, "cell membrane protein folding pathway").ok());
+  EXPECT_EQ(db.checkpoint_epoch(), before + 1);
+
+  // Called directly: the same.
+  ASSERT_TRUE(db.Checkpoint().ok());
+  EXPECT_EQ(posted, 2);
+  EXPECT_EQ(db.checkpoint_epoch(), before + 2);
+  ASSERT_TRUE(AddPaper(&db, 102, "relational query planning").ok());
+  EXPECT_EQ(db.checkpoint_epoch(), before + 2);
 }
 
 TEST_F(CheckpointDaemonTest, PragmaControlsDaemonAndWriter) {

@@ -224,7 +224,7 @@ TEST_F(WalCrashInjectionTest, KillAtEveryPrefixMatchesPrefixReference) {
 }
 
 TEST_F(WalCrashInjectionTest, KillAtEveryPrefixWithSnapshotReadersMatchesReference) {
-  // The crash-point sweep again, with gate-free snapshot readers hammering
+  // The crash-point sweep again, with lock-free snapshot readers hammering
   // the view throughout the workload: concurrent reads must have zero
   // effect on durable state, so the recovered blob still matches the
   // never-crashed prefix reference exactly.

@@ -354,5 +354,23 @@ TEST(DispatcherTest, BoundsInFlight) {
   d.Drain();
 }
 
+TEST(DispatcherTest, PeakRecordsAdmissionHighWaterMark) {
+  // The peak is taken at admit time, so a full queue that drains before
+  // anyone polls in_flight() still shows up.
+  constexpr size_t kMaxInFlight = 3;
+  Dispatcher d(DispatchOptions{/*worker_threads=*/1, kMaxInFlight});
+  std::atomic<bool> release{false};
+  auto blocker = [&] {
+    while (!release.load()) std::this_thread::yield();
+  };
+  for (size_t i = 0; i < kMaxInFlight; ++i) EXPECT_TRUE(d.TryDispatch(blocker));
+  EXPECT_FALSE(d.TryDispatch(blocker));  // shed: does not raise the peak
+  EXPECT_EQ(d.in_flight_peak(), kMaxInFlight);
+  release = true;
+  d.Drain();
+  EXPECT_EQ(d.in_flight(), 0u);
+  EXPECT_EQ(d.in_flight_peak(), kMaxInFlight);
+}
+
 }  // namespace
 }  // namespace hazy::server

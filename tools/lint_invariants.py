@@ -11,9 +11,11 @@ balance:
                            invariant that keeps foreground faults from
                            serializing behind another page's fsync.
 
-  gate-on-reactor-thread   No statement-gate or statement-mutex acquisition
-                           in code that runs on the reactor thread (the epoll
-                           loop and the ReactorHandler callbacks). A wedged
+  lock-on-reactor-thread   No statement-lock acquisition (a
+                           StatementLock::Scope or a hold of
+                           statement_mutex()) in code that runs on the
+                           reactor thread (the epoll loop and the
+                           ReactorHandler callbacks). A wedged
                            statement must never wedge accept/read/write for
                            every connection — that is the whole point of the
                            dispatcher handoff.
@@ -172,21 +174,20 @@ def check_fsync_under_pool_mutex():
                 # fine here — these two files release explicitly around I/O.
 
 
-GATE_RE = re.compile(
-    r"StatementGate::(Shared|Exclusive)Guard|statement_mutex\s*\(\)|"
-    r"\b(Shared|Exclusive)Guard\b"
+STATEMENT_LOCK_RE = re.compile(
+    r"\bStatementLock::Scope\b|\bstatement_mutex\s*\(\)"
 )
 REACTOR_HANDLERS = {"OnConnect", "OnFrame", "OnDisconnect"}
 
 
-def check_gate_on_reactor_thread():
+def check_lock_on_reactor_thread():
     path = SRC / "rpc" / "reactor.cc"
     lines = path.read_text().splitlines()
     for idx, line in enumerate(lines):
-        if GATE_RE.search(line.split("//")[0]):
-            if not allowed(lines, idx, "gate-on-reactor-thread"):
-                report(path, idx, "gate-on-reactor-thread",
-                       "statement gate/mutex on the reactor thread")
+        if STATEMENT_LOCK_RE.search(line.split("//")[0]):
+            if not allowed(lines, idx, "lock-on-reactor-thread"):
+                report(path, idx, "lock-on-reactor-thread",
+                       "statement lock on the reactor thread")
     for fname in ("server.cc", "session.cc"):
         path = SRC / "server" / fname
         text = path.read_text()
@@ -197,12 +198,12 @@ def check_gate_on_reactor_thread():
             if short not in REACTOR_HANDLERS and short != "StatsFrame":
                 continue
             for idx, line in body:
-                if GATE_RE.search(line.split("//")[0]):
-                    if not allowed(lines, idx, "gate-on-reactor-thread"):
+                if STATEMENT_LOCK_RE.search(line.split("//")[0]):
+                    if not allowed(lines, idx, "lock-on-reactor-thread"):
                         report(
-                            path, idx, "gate-on-reactor-thread",
+                            path, idx, "lock-on-reactor-thread",
                             f"{short} runs on the reactor thread but takes "
-                            "the statement gate/mutex",
+                            "the statement lock",
                         )
 
 
@@ -262,7 +263,7 @@ def check_unexplained_void_status():
 
 def main():
     check_fsync_under_pool_mutex()
-    check_gate_on_reactor_thread()
+    check_lock_on_reactor_thread()
     check_unconsumed_epoch_pin()
     check_escape_hatch_budget()
     check_unexplained_void_status()
